@@ -12,7 +12,7 @@
 //! and source buffers must cover a worst-case round trip rather than 3
 //! cycles. [`E2eSource::occupancy_flits`] exposes the buffer-size cost.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ftnoc_ecc::hamming;
 use ftnoc_types::flit::Flit;
@@ -32,7 +32,10 @@ struct PendingPacket {
 /// Source-side E2E bookkeeping for one node.
 #[derive(Debug)]
 pub struct E2eSource {
-    pending: HashMap<PacketId, PendingPacket>,
+    /// Ordered by packet id: [`E2eSource::take_expired`] hands back
+    /// packets in iteration order, and that order reaches the
+    /// simulation (requeue order), so it must not depend on hashing.
+    pending: BTreeMap<PacketId, PendingPacket>,
     timeout: u64,
     max_attempts: u32,
     retransmitted: u64,
@@ -55,7 +58,7 @@ impl E2eSource {
         assert!(timeout > 0, "timeout must be non-zero");
         assert!(max_attempts > 0, "max_attempts must be non-zero");
         E2eSource {
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             timeout,
             max_attempts,
             retransmitted: 0,
@@ -99,7 +102,9 @@ impl E2eSource {
     }
 
     /// Collects packets whose ACK timed out, refreshing their timers;
-    /// each returned packet must be retransmitted by the caller.
+    /// each returned packet must be retransmitted by the caller. Packets
+    /// come back in [`PacketId`] order, so the requeue order is
+    /// deterministic.
     pub fn take_expired(&mut self, now: u64) -> Vec<Packet> {
         let mut expired = Vec::new();
         let mut drop: Vec<PacketId> = Vec::new();

@@ -371,7 +371,7 @@ impl SimConfigBuilder {
     /// entries become `hard_faults`, the schedules become
     /// `scheduled_kills`/`router_kills`, and the wear-out/notify knobs
     /// land in their fields. This is the single seam every fault
-    /// front-end (the `--fault` grammar, the legacy flag shims, the
+    /// front-end (the `--fault` grammar, the builder methods, the
     /// fuzzer) goes through. Call [`FaultPlan::validate`] first — the
     /// lowering itself does not re-check the topology.
     pub fn fault_plan(&mut self, plan: &FaultPlan) -> &mut Self {

@@ -5,12 +5,12 @@
 //! `Mutex<RouterCell>` cells (uncontended — each worker owns a disjoint
 //! contiguous chunk), the pool is synchronised with two [`Barrier`]s
 //! per cycle, and the serial pre/commit phases run on the calling
-//! thread in between. With `threads <= 1` no pool is spawned and
-//! [`Stepper::step`] degenerates to exactly the serial
-//! [`Network::step`] — and because the compute phase is
-//! cross-router-pure (see the determinism argument in
-//! [`crate::network`]), any thread count produces byte-identical
-//! results at the same seed.
+//! thread in between. [`Stepper::step`] is the only three-phase cycle
+//! body: with `threads <= 1` no pool is spawned and the compute phase
+//! runs in place (the serial path [`Network::step`] takes) — and
+//! because the compute phase is cross-router-pure (see the determinism
+//! argument in [`crate::network`]), any thread count produces
+//! byte-identical results at the same seed.
 //!
 //! Panics are part of that contract: a compute-phase panic on a worker
 //! (a violated `debug_assert!` under fault fuzzing, say) is caught,
@@ -137,7 +137,7 @@ impl<S: TraceSink> Stepper<'_, S> {
 
     /// A [`Progress`] snapshot (what run observers receive).
     pub fn progress(&self) -> Progress {
-        self.core.progress(self.cells)
+        self.core.progress()
     }
 
     /// A full [`crate::snapshot::NetSnapshot`] of the commit-boundary
@@ -261,23 +261,6 @@ mod tests {
         let mut b = SimConfig::builder();
         b.injection_rate(0.2).seed(7);
         b.build().unwrap()
-    }
-
-    #[test]
-    fn stepper_matches_network_step() {
-        let mut a = Network::new(config());
-        let mut b = Network::new(config());
-        for _ in 0..500 {
-            a.step();
-        }
-        b.with_stepper(1, |st| {
-            for _ in 0..500 {
-                st.step();
-            }
-        });
-        assert_eq!(a.now(), b.now());
-        assert_eq!(a.packets_injected(), b.packets_injected());
-        assert_eq!(a.packets_ejected(), b.packets_ejected());
     }
 
     #[test]

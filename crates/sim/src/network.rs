@@ -331,8 +331,9 @@ pub(crate) struct NetCore<S: TraceSink> {
 }
 
 /// A periodic progress sample handed to run observers (the CLI's
-/// `--stats-every` heartbeat). A plain `Copy` snapshot so observers can
-/// run while the network is split across the worker pool.
+/// `--metrics-out` interval lines). A plain `Copy` snapshot so
+/// observers can run while the network is split across the worker
+/// pool.
 #[derive(Debug, Clone, Copy)]
 pub struct Progress {
     /// Current cycle.
@@ -344,8 +345,6 @@ pub struct Progress {
     /// Sum of per-packet latencies since construction (cycles) — lets
     /// observers derive a per-window average latency from two samples.
     pub latency_sum: u64,
-    /// Whether any node is currently in deadlock-recovery mode.
-    pub any_in_recovery: bool,
 }
 
 /// Shared read access to one router (a lock guard that dereferences to
@@ -697,7 +696,7 @@ impl<S: TraceSink> Network<S> {
     }
 
     /// Borrowed view of the measurement-window latency histogram (the
-    /// allocation-free path heartbeats and reports read percentiles
+    /// allocation-free path observers and reports read percentiles
     /// from — [`Network::stats`] deliberately no longer clones it).
     pub fn latency_histogram(&self) -> &LatencyHistogram {
         &self.core.latency_hist
@@ -710,8 +709,7 @@ impl<S: TraceSink> Network<S> {
 
     /// A [`Progress`] snapshot (what run observers receive).
     pub fn progress(&self) -> Progress {
-        let Network { cells, core, .. } = self;
-        core.progress(cells)
+        self.core.progress()
     }
 
     /// Turns on the engine phase profiler, with one timing lane per
@@ -735,18 +733,11 @@ impl<S: TraceSink> Network<S> {
         collect_telemetry(&self.env, &self.cells)
     }
 
-    /// Advances the network by one clock cycle (the serial engine; the
-    /// worker pool in [`crate::engine`] drives the same three phases).
+    /// Advances the network by one clock cycle: the serial path of
+    /// [`crate::engine::Stepper::step`], which holds the three-phase
+    /// cycle body.
     pub fn step(&mut self) {
-        let Network { env, cells, core } = self;
-        let now = core.now;
-        core.pre(env, cells, now);
-        for (n, cell) in cells.iter().enumerate() {
-            if env.active.is_active(n) {
-                compute_cell(env, &mut cell.lock().unwrap(), now);
-            }
-        }
-        core.commit(env, cells, now);
+        self.with_stepper(1, |st| st.step());
     }
 
     /// Peak per-node source-side retransmission-buffer occupancy (flits)
@@ -754,13 +745,6 @@ impl<S: TraceSink> Network<S> {
     /// paper contrasts with HBH's fixed 3 flits per VC.
     pub fn e2e_peak_source_flits(&self) -> u64 {
         self.core.e2e_peak_source_flits
-    }
-
-    /// Whether any node is currently in deadlock-recovery mode.
-    pub fn any_in_recovery(&self) -> bool {
-        self.cells
-            .iter()
-            .any(|c| c.lock().unwrap().router.probe.in_recovery())
     }
 
     /// Flits ejected to the local PEs since construction.
@@ -956,15 +940,12 @@ impl<S: TraceSink> NetCore<S> {
     }
 
     /// A [`Progress`] snapshot for observers.
-    pub(crate) fn progress(&self, cells: &[Mutex<RouterCell>]) -> Progress {
+    pub(crate) fn progress(&self) -> Progress {
         Progress {
             now: self.now,
             packets_injected: self.packets_injected,
             packets_ejected: self.packets_ejected,
             latency_sum: self.latency_sum,
-            any_in_recovery: cells
-                .iter()
-                .any(|c| c.lock().unwrap().router.probe.in_recovery()),
         }
     }
 

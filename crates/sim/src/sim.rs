@@ -6,7 +6,7 @@ use ftnoc_trace::{NullSink, TraceSink, Tracer};
 
 use crate::config::SimConfig;
 use crate::engine::Stepper;
-use crate::network::{Network, Progress};
+use crate::network::Network;
 use crate::stats::{ErrorStats, EventCounts, OccupancyHistogram};
 
 /// The outcome of one simulation run.
@@ -57,10 +57,6 @@ pub struct SimReport {
     /// (0 when the platform cannot say) — provenance for wall-clock
     /// comparisons, not a simulation result.
     pub available_parallelism: usize,
-    /// Async trace-sink queue stats `(dropped_records, max_depth)`,
-    /// when the run traced through an async sink (set by the CLI after
-    /// the sink is recovered).
-    pub trace_queue: Option<(u64, u64)>,
     /// Whether the run ended by reaching the packet target (vs the
     /// cycle cap — a capped saturated/wedged run reports `false`).
     pub completed: bool,
@@ -174,12 +170,6 @@ impl SimReport {
             ",\"threads\":{},\"available_parallelism\":{}",
             self.threads, self.available_parallelism
         );
-        if let Some((dropped, max_depth)) = self.trace_queue {
-            let _ = write!(
-                s,
-                ",\"trace_queue\":{{\"dropped\":{dropped},\"max_depth\":{max_depth}}}"
-            );
-        }
         let _ = write!(
             s,
             ",\"flits_lost\":{},\"e2e_peak_source_buffer_flits\":{},\"completed\":{}}}",
@@ -232,46 +222,61 @@ impl<S: TraceSink> Simulator<S> {
     /// Runs to completion: warm-up until `warmup_packets` ejections, then
     /// measurement until `measure_packets` more (or the cycle cap).
     pub fn run(&mut self) -> SimReport {
-        self.run_observed(0, |_| {})
+        self.run_instrumented(|_| {})
     }
 
-    /// Runs like [`Simulator::run`], invoking `observer` with a
-    /// [`Progress`] snapshot every `every` cycles (`0` disables it) —
-    /// the CLI's `--stats-every` hook for periodic interval metrics on
-    /// long runs. The whole run executes under one worker-pool session
-    /// sized by [`SimConfig::threads`].
-    pub fn run_observed<F: FnMut(Progress)>(&mut self, every: u64, mut observer: F) -> SimReport {
-        self.run_instrumented(|st| {
-            if every > 0 && st.now().is_multiple_of(every) {
-                observer(st.progress());
-            }
-        })
-    }
-
-    /// The fully-instrumented run driver: like [`Simulator::run`], but
-    /// `each_cycle` sees the borrowed [`Stepper`] after every step and
-    /// can take [`Progress`], telemetry and profile snapshots at its
-    /// own cadence (the CLI's `--metrics-out` emitter). Read-only
+    /// Runs like [`Simulator::run`], but `each_cycle` sees the borrowed
+    /// [`Stepper`] after every step and can take
+    /// [`crate::network::Progress`], telemetry and profile snapshots at
+    /// its own cadence (the CLI's `--metrics-out` emitter). Read-only
     /// access: observation cannot perturb the run.
-    pub fn run_instrumented<F: FnMut(&Stepper<'_, S>)>(&mut self, mut each_cycle: F) -> SimReport {
-        let warmup_target = self.config.warmup_packets;
-        let measure_packets = self.config.measure_packets;
-        let max_cycles = self.config.max_cycles;
+    pub fn run_instrumented<F: FnMut(&Stepper<'_, S>)>(&mut self, each_cycle: F) -> SimReport {
+        let SimConfig {
+            warmup_packets,
+            measure_packets,
+            max_cycles,
+            ..
+        } = self.config;
+        let completed = self.drive(warmup_packets, measure_packets, max_cycles, each_cycle);
+        self.report(completed)
+    }
+
+    /// Runs exactly `cycles` cycles with measurement from the first
+    /// (used by utilization sweeps and tests).
+    pub fn run_cycles(&mut self, cycles: u64) -> SimReport {
+        let end = self.network.now().saturating_add(cycles);
+        self.drive(0, u64::MAX, end, |_| {});
+        self.report(true)
+    }
+
+    /// The one stepping loop: the measurement window opens after
+    /// `warmup` ejections (at once when 0) and the run stops once it
+    /// has seen `measure` more, or when the clock reaches `max_cycles`.
+    /// `each_cycle` runs after every step. The whole run executes under
+    /// one worker-pool session sized by [`SimConfig::threads`]. Returns
+    /// whether the packet target was reached.
+    fn drive<F: FnMut(&Stepper<'_, S>)>(
+        &mut self,
+        warmup: u64,
+        measure: u64,
+        max_cycles: u64,
+        mut each_cycle: F,
+    ) -> bool {
         let threads = self.config.threads;
-        let completed = self.network.with_stepper(threads, |st| {
-            let mut total_target = warmup_target + measure_packets;
-            let mut measuring = warmup_target == 0;
+        self.network.with_stepper(threads, |st| {
+            let mut total_target = warmup.saturating_add(measure);
+            let mut measuring = warmup == 0;
             if measuring {
                 st.start_measurement();
             }
             while st.now() < max_cycles {
                 st.step();
                 each_cycle(st);
-                if !measuring && st.packets_ejected() >= warmup_target {
+                if !measuring && st.packets_ejected() >= warmup {
                     st.start_measurement();
                     // Anchor the window at the actual crossing point so
                     // the measured packet count is exact.
-                    total_target = st.packets_ejected() + measure_packets;
+                    total_target = st.packets_ejected().saturating_add(measure);
                     measuring = true;
                 }
                 if measuring && st.packets_ejected() >= total_target {
@@ -279,21 +284,7 @@ impl<S: TraceSink> Simulator<S> {
                 }
             }
             st.packets_ejected() >= total_target
-        });
-        self.report(completed)
-    }
-
-    /// Runs exactly `cycles` cycles with measurement from cycle 0
-    /// (used by utilization sweeps and tests).
-    pub fn run_cycles(&mut self, cycles: u64) -> SimReport {
-        let threads = self.config.threads;
-        self.network.with_stepper(threads, |st| {
-            st.start_measurement();
-            for _ in 0..cycles {
-                st.step();
-            }
-        });
-        self.report(true)
+        })
     }
 
     fn report(&self, completed: bool) -> SimReport {
@@ -320,7 +311,6 @@ impl<S: TraceSink> Simulator<S> {
             available_parallelism: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(0),
-            trace_queue: None,
             e2e_peak_source_buffer_flits: self.network.e2e_peak_source_flits(),
             completed,
         }
@@ -527,24 +517,5 @@ mod tests {
         assert!(json.contains("\"avg_latency\":null"), "{json}");
         assert!(json.contains("\"throughput\":null"), "{json}");
         assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
-    }
-
-    #[test]
-    fn report_json_includes_trace_queue_when_set() {
-        let mut report = Simulator::new(
-            small_config()
-                .warmup_packets(0)
-                .measure_packets(10)
-                .build()
-                .unwrap(),
-        )
-        .run();
-        assert!(!report.to_json().contains("\"trace_queue\""));
-        report.trace_queue = Some((3, 17));
-        let json = report.to_json();
-        assert!(
-            json.contains("\"trace_queue\":{\"dropped\":3,\"max_depth\":17}"),
-            "{json}"
-        );
     }
 }

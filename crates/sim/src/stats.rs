@@ -304,7 +304,7 @@ impl OccupancyHistogram {
 }
 
 /// Aggregated network statistics for one run's measurement window.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetworkStats {
     /// Events (post-warm-up).
     pub events: EventCounts,

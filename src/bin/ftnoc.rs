@@ -3,17 +3,26 @@
 //!
 //! ```sh
 //! cargo run --bin ftnoc --release -- run --scheme hbh --error-rate 0.01
-//! cargo run --bin ftnoc --release -- run --topology 4x4 --routing fa \
+//! cargo run --bin ftnoc --release -- run --topology mesh:4x4 --routing fa \
 //!     --vcs 1 --retrans 6 --deadlock-recovery --inj 0.2
 //! cargo run --bin ftnoc --release -- run --trace out.jsonl --report-json
 //! cargo run --bin ftnoc --release -- table1
 //! ```
 
+use std::path::PathBuf;
+
 use ftnoc::cli::{parse, Command, HELP};
 use ftnoc::metrics_io::MetricsEmitter;
 use ftnoc_power::EnergyModel;
-use ftnoc_sim::{Progress, SimConfig, SimReport, Simulator};
-use ftnoc_trace::{AsyncSink, JsonlSink, OverflowPolicy, TraceSink, Tracer};
+use ftnoc_sim::{SimConfig, SimReport, Simulator};
+use ftnoc_trace::{JsonlSink, NullSink, TraceSink, Tracer};
+
+/// Prints `error: {msg}` and exits with status 2 (bad input or an
+/// unusable output file).
+fn die(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -31,19 +40,11 @@ fn main() {
             metrics_out,
         }) => run_fuzz_command(plan, repro, failures_out, metrics_out),
         Ok(Command::Report { file }) => {
-            let content = match std::fs::read_to_string(&file) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: cannot read {}: {e}", file.display());
-                    std::process::exit(2);
-                }
-            };
+            let content = std::fs::read_to_string(&file)
+                .unwrap_or_else(|e| die(format!("cannot read {}: {e}", file.display())));
             match ftnoc::metrics::report::render(&content) {
                 Ok(rendered) => print!("{rendered}"),
-                Err(e) => {
-                    eprintln!("error: {}: {e}", file.display());
-                    std::process::exit(2);
-                }
+                Err(e) => die(format!("{}: {e}", file.display())),
             }
         }
         Ok(Command::Table1) => {
@@ -56,69 +57,25 @@ fn main() {
             config,
             profile,
             trace,
-            trace_async,
-            trace_queue,
-            trace_policy,
             flight_recorder,
-            stats_every,
             report_json,
             metrics_out,
             metrics_every,
         }) => {
             let config = *config;
-            let mut emitter = metrics_out.map(|path| {
+            let metrics = metrics_out.map(|path| {
                 match MetricsEmitter::create(&path, metrics_every, &config) {
-                    Ok(em) => em,
-                    Err(e) => {
-                        eprintln!("error: cannot open metrics file {}: {e}", path.display());
-                        std::process::exit(2);
-                    }
+                    Ok(em) => (em, path),
+                    Err(e) => die(format!("cannot open metrics file {}: {e}", path.display())),
                 }
             });
             let report = match trace {
-                Some(path) => {
-                    let sink = match JsonlSink::create(&path) {
-                        Ok(sink) => sink,
-                        Err(e) => {
-                            eprintln!("error: cannot open trace file {}: {e}", path.display());
-                            std::process::exit(2);
-                        }
-                    };
-                    if trace_async {
-                        let sink = AsyncSink::new(sink, trace_queue, trace_policy);
-                        let (mut report, tracer) = run_traced(
-                            config,
-                            sink,
-                            flight_recorder,
-                            stats_every,
-                            emitter.as_mut(),
-                        );
-                        // Queue health goes into the report before the
-                        // sink is torn down.
-                        let stats = tracer.sink().stats();
-                        report.trace_queue = Some((stats.dropped, stats.max_depth));
-                        let (_, dropped) = tracer.into_sink().finish();
-                        // Lossy traces are never silent: the drop policy
-                        // always reports its count.
-                        if trace_policy == OverflowPolicy::Drop {
-                            eprintln!(
-                                "trace: {dropped} record(s) dropped by the bounded queue \
-                                 (--trace-queue {trace_queue}, --trace-policy drop)"
-                            );
-                        }
-                        report
-                    } else {
-                        run_traced(config, sink, flight_recorder, stats_every, emitter.as_mut()).0
-                    }
-                }
-                None => run_observed(&mut Simulator::new(config), stats_every, emitter.as_mut()),
+                Some(path) => match JsonlSink::create(&path) {
+                    Ok(sink) => run(config, sink, flight_recorder, metrics),
+                    Err(e) => die(format!("cannot open trace file {}: {e}", path.display())),
+                },
+                None => run(config, NullSink, 0, metrics),
             };
-            if let Some(em) = emitter {
-                let dropped = em.finish();
-                if dropped > 0 {
-                    eprintln!("metrics: {dropped} interval line(s) dropped");
-                }
-            }
             if report_json {
                 println!("{}", report.to_json());
             } else {
@@ -128,27 +85,49 @@ fn main() {
     }
 }
 
-/// Runs a traced simulation with flight recorders, dumping them on a
-/// wedged or misdelivering run. Generic over the sink so the sync and
-/// async trace paths share one body.
-fn run_traced<S: TraceSink>(
+/// Runs one simulation with its observers attached: the trace sink
+/// (JSONL or none) with per-router flight recorders, and the
+/// `--metrics-out` interval emitter. Observers read commit-boundary
+/// snapshots only — observation cannot perturb the run. A wedged or
+/// misdelivering traced run dumps its flight recorders to stderr.
+fn run<S: TraceSink>(
     config: SimConfig,
     sink: S,
     flight_recorder: usize,
-    stats_every: u64,
-    metrics: Option<&mut MetricsEmitter>,
-) -> (SimReport, Tracer<S>) {
+    metrics: Option<(MetricsEmitter, PathBuf)>,
+) -> SimReport {
     let nodes = config.topology.node_count();
     let mut sim = Simulator::with_tracer(config, Tracer::new(sink, nodes, flight_recorder));
-    let report = run_observed(&mut sim, stats_every, metrics);
+    let report = match metrics {
+        None => sim.run(),
+        Some((mut em, path)) => {
+            let fail = |e: std::io::Error| -> ! {
+                die(format!("cannot write metrics file {}: {e}", path.display()))
+            };
+            // Phase profiling rides along with metrics emission: its
+            // wall-clock timers live strictly outside simulation state.
+            sim.network_mut().enable_profiling();
+            let report = sim.run_instrumented(|st| {
+                if em.due(st.now()) {
+                    em.record(st.progress(), st.telemetry(), st.profile_snapshot())
+                        .unwrap_or_else(|e| fail(e));
+                }
+            });
+            // Close the stream with the run's final state (a no-op when
+            // the run ended exactly on an interval boundary).
+            let net = sim.network();
+            em.record(net.progress(), net.telemetry(), net.profile_snapshot())
+                .and_then(|()| em.finish())
+                .unwrap_or_else(|e| fail(e));
+            report
+        }
+    };
     let mut tracer = sim.into_tracer();
     tracer.flush();
-    // Post-mortem: a wedged or misdelivering run dumps the per-router
-    // flight recorders for offline diagnosis.
     if !report.completed || report.errors.misdelivered > 0 {
         dump_flight_recorders(&tracer);
     }
-    (report, tracer)
+    report
 }
 
 /// The `ftnoc fuzz` subcommand: replay a single reproducer spec, or run
@@ -163,18 +142,13 @@ fn run_traced<S: TraceSink>(
 fn run_fuzz_command(
     plan: ftnoc_check::CampaignPlan,
     repro: Option<String>,
-    failures_out: Option<std::path::PathBuf>,
-    metrics_out: Option<std::path::PathBuf>,
+    failures_out: Option<PathBuf>,
+    metrics_out: Option<PathBuf>,
 ) {
     use ftnoc_check::{CampaignParams, LineRenderer, TelemetryObserver};
     if let Some(spec) = repro {
-        let params = match CampaignParams::from_spec(&spec) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("error: bad --repro spec: {e}");
-                std::process::exit(2);
-            }
-        };
+        let params = CampaignParams::from_spec(&spec)
+            .unwrap_or_else(|e| die(format!("bad --repro spec: {e}")));
         match params.check() {
             Ok(()) => println!("repro: all invariants held for {} cycles", params.cycles),
             Err(v) => {
@@ -218,67 +192,6 @@ fn run_fuzz_command(
         report.campaigns_run
     );
     std::process::exit(1);
-}
-
-/// Runs the simulation with the CLI's periodic observers attached:
-/// `--stats-every` progress lines on stderr (cumulative totals plus
-/// per-window deltas) and the `--metrics-out` interval emitter. Both
-/// read commit-boundary snapshots only — observation cannot perturb
-/// the run.
-fn run_observed<S: TraceSink>(
-    sim: &mut Simulator<S>,
-    every: u64,
-    mut metrics: Option<&mut MetricsEmitter>,
-) -> SimReport {
-    if metrics.is_some() {
-        // Phase profiling rides along with metrics emission: its
-        // wall-clock timers live strictly outside simulation state.
-        sim.network_mut().enable_profiling();
-    }
-    let mut prev: Option<Progress> = None;
-    let report = sim.run_instrumented(|st| {
-        if every > 0 && st.now().is_multiple_of(every) {
-            let p = st.progress();
-            let (d_inj, d_ej, d_lat) = match prev {
-                Some(q) => (
-                    p.packets_injected - q.packets_injected,
-                    p.packets_ejected - q.packets_ejected,
-                    p.latency_sum - q.latency_sum,
-                ),
-                None => (p.packets_injected, p.packets_ejected, p.latency_sum),
-            };
-            let window_lat = if d_ej > 0 {
-                format!("{:.1}", d_lat as f64 / d_ej as f64)
-            } else {
-                "-".to_string()
-            };
-            eprintln!(
-                "cycle {:>9}: injected {:>8} (+{d_inj}) ejected {:>8} (+{d_ej}) \
-                 window-lat {window_lat}{}",
-                p.now,
-                p.packets_injected,
-                p.packets_ejected,
-                if p.any_in_recovery {
-                    " [recovering]"
-                } else {
-                    ""
-                }
-            );
-            prev = Some(p);
-        }
-        if let Some(em) = metrics.as_deref_mut() {
-            if em.due(st.now()) {
-                em.record(st.progress(), st.telemetry(), st.profile_snapshot());
-            }
-        }
-    });
-    // Close the metrics stream with the run's final state (a no-op when
-    // the run ended exactly on an interval boundary).
-    if let Some(em) = metrics {
-        let net = sim.network();
-        em.record(net.progress(), net.telemetry(), net.profile_snapshot());
-    }
-    report
 }
 
 /// Dumps every non-empty per-router flight recorder to stderr.

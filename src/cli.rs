@@ -7,7 +7,7 @@ use ftnoc_fault::FaultRates;
 use ftnoc_sim::{DeadlockConfig, ErrorScheme, RoutingAlgorithm, SimConfig};
 use ftnoc_traffic::TrafficPattern;
 use ftnoc_types::config::{BufferOrg, PipelineDepth, RouterConfig};
-use ftnoc_types::geom::{Direction, NodeId, Topology, TopologyKind};
+use ftnoc_types::geom::{NodeId, Topology, TopologyKind};
 
 /// The `--help` text.
 pub const HELP: &str = "\
@@ -24,10 +24,7 @@ USAGE:
 OPTIONS (run):
     --topology T        mesh:WxH | torus:WxH | cmesh:WxH:C (C terminals
                         per router) | chiplet:WxH:CWxCH (CWxCH tiles,
-                        requires --routing fta) | bare WxH = mesh
-                        (default 8x8)
-    --torus             wrap-around links on a bare WxH grid
-                        (same as --topology torus:WxH)
+                        requires --routing fta)   (default mesh:8x8)
     --scheme S          hbh | e2e | fec | none        (default hbh)
     --routing R         dt | ad | fa | oe | fta       (default dt; fta =
                         fault-aware up*/down* — deadlock-free around any
@@ -76,10 +73,6 @@ OPTIONS (run):
                           notify:L      fault-table publication lags
                                         local detection by L cycles
                                         (default 4)
-    --kill-link N:D     compat shim for --fault link:N:D (repeatable)
-    --kill-link-at C:N:D
-                        compat shim for --fault link:N:D@C (repeatable)
-    --fault-notify N    compat shim for --fault notify:N
     --threads N         compute-phase worker threads (default 1; any N
                         gives byte-identical results at the same seed)
     --no-activity-gating
@@ -91,18 +84,9 @@ OPTIONS (run):
 
 OBSERVABILITY (run):
     --trace FILE        stream a cycle-stamped JSONL event trace to FILE
-    --trace-async       move trace I/O onto a writer thread behind a
-                        bounded queue so emission never stalls the sim
-                        hot loop (JSONL bytes stay identical)
-    --trace-queue N     bounded queue capacity in records (default 4096)
-    --trace-policy P    block | drop — behaviour when the queue is full
-                        (default block: lossless backpressure; drop:
-                        discard and count, the count is reported)
     --flight-recorder N per-router post-mortem ring capacity (default 256;
                         dumped to stderr when a traced run wedges or
                         misdelivers)
-    --stats-every N     print interval progress to stderr every N cycles
-                        (cumulative totals plus per-window deltas)
     --report-json       print the run report as a JSON object
     --metrics-out FILE  stream periodic metrics intervals to FILE as
                         JSONL (cumulative + per-window counters, engine
@@ -150,17 +134,8 @@ pub enum Command {
         profile: bool,
         /// JSONL event-trace destination (`--trace`).
         trace: Option<std::path::PathBuf>,
-        /// Route trace I/O through the bounded-queue writer thread
-        /// (`--trace-async`).
-        trace_async: bool,
-        /// Bounded trace-queue capacity in records (`--trace-queue`).
-        trace_queue: usize,
-        /// Full-queue behaviour for the async trace (`--trace-policy`).
-        trace_policy: ftnoc_trace::OverflowPolicy,
         /// Per-router flight-recorder capacity (with `--trace`).
         flight_recorder: usize,
-        /// Interval-progress period in cycles (`--stats-every`, 0 = off).
-        stats_every: u64,
         /// Whether to emit the report as JSON (`--report-json`).
         report_json: bool,
         /// Periodic metrics JSONL destination (`--metrics-out`).
@@ -207,17 +182,6 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
-/// Direction letter of the legacy kill flags (case-insensitive).
-fn parse_cli_dir(d: &str) -> Option<Direction> {
-    match d {
-        "n" | "N" => Some(Direction::North),
-        "e" | "E" => Some(Direction::East),
-        "s" | "S" => Some(Direction::South),
-        "w" | "W" => Some(Direction::West),
-        _ => None,
-    }
-}
-
 /// Parses an argument vector (without the program name).
 ///
 /// # Errors
@@ -247,7 +211,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let mut topo = (8u8, 8u8, TopologyKind::Mesh);
     let mut concentration = 1u8;
     let mut chip: Option<(u8, u8)> = None;
-    let mut torus_flag = false;
     let mut scheme = ErrorScheme::Hbh;
     let mut routing = RoutingAlgorithm::XyDeterministic;
     let mut pattern = TrafficPattern::Uniform;
@@ -269,16 +232,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let mut activity_gating = true;
     let mut profile = false;
     let mut trace: Option<std::path::PathBuf> = None;
-    let mut trace_async = false;
-    let mut trace_queue = 4096usize;
-    let mut trace_policy = ftnoc_trace::OverflowPolicy::Block;
     let mut flight_recorder = 256usize;
-    let mut stats_every = 0u64;
     let mut report_json = false;
     let mut metrics_out: Option<std::path::PathBuf> = None;
     let mut metrics_every = 1_000u64;
-    // Every hard-fault flag — the --fault grammar and the legacy
-    // shims alike — lowers into this one plan.
+    // Every --fault spec lowers into this one plan.
     let mut fplan = ftnoc_fault::FaultPlan::new();
 
     fn value<'a>(
@@ -327,12 +285,12 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     chip = Some(grid(tile, flag)?);
                     topo.2 = TopologyKind::Chiplet;
                 } else {
-                    // Legacy form: a bare WxH grid (mesh, or torus when
-                    // the --torus flag is also given).
-                    (topo.0, topo.1) = grid(v, flag)?;
+                    return Err(err(format!(
+                        "--topology expects mesh:WxH | torus:WxH | cmesh:WxH:C | \
+                         chiplet:WxH:CWxCH, got `{v}`"
+                    )));
                 }
             }
-            "--torus" => torus_flag = true,
             "--scheme" => {
                 scheme = match value(&mut it, flag)? {
                     "hbh" => ErrorScheme::Hbh,
@@ -403,17 +361,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             "--no-activity-gating" => activity_gating = false,
             "--profile" => profile = true,
             "--trace" => trace = Some(std::path::PathBuf::from(value(&mut it, flag)?)),
-            "--trace-async" => trace_async = true,
-            "--trace-queue" => trace_queue = num(value(&mut it, flag)?, flag)?,
-            "--trace-policy" => {
-                trace_policy = match value(&mut it, flag)? {
-                    "block" => ftnoc_trace::OverflowPolicy::Block,
-                    "drop" => ftnoc_trace::OverflowPolicy::Drop,
-                    v => return Err(err(format!("--trace-policy expects block|drop, got `{v}`"))),
-                }
-            }
             "--flight-recorder" => flight_recorder = num(value(&mut it, flag)?, flag)?,
-            "--stats-every" => stats_every = num(value(&mut it, flag)?, flag)?,
             "--report-json" => report_json = true,
             "--metrics-out" => {
                 metrics_out = Some(std::path::PathBuf::from(value(&mut it, flag)?));
@@ -422,56 +370,10 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             "--fault" => {
                 fplan.add_spec(value(&mut it, flag)?).map_err(err)?;
             }
-            "--kill-link" => {
-                let v = value(&mut it, flag)?;
-                let (node, dir) = v
-                    .split_once(':')
-                    .ok_or_else(|| err(format!("--kill-link expects N:D, got `{v}`")))?;
-                let node: u16 = num(node, flag)?;
-                let dir = parse_cli_dir(dir).ok_or_else(|| {
-                    err(format!(
-                        "--kill-link direction must be n|e|s|w, got `{dir}`"
-                    ))
-                })?;
-                fplan.link_at_reset(NodeId::new(node), dir);
-            }
-            "--kill-link-at" => {
-                let v = value(&mut it, flag)?;
-                let mut parts = v.splitn(3, ':');
-                let (Some(c), Some(node), Some(dir)) = (parts.next(), parts.next(), parts.next())
-                else {
-                    return Err(err(format!("--kill-link-at expects C:N:D, got `{v}`")));
-                };
-                let at: u64 = num(c, flag)?;
-                if at == 0 {
-                    return Err(err(
-                        "--kill-link-at: the kill cycle must be > 0 (a link dead \
-                         from cycle 0 is a static fault — use --kill-link)",
-                    ));
-                }
-                let node: u16 = num(node, flag)?;
-                let dir = parse_cli_dir(dir).ok_or_else(|| {
-                    err(format!(
-                        "--kill-link-at direction must be n|e|s|w, got `{dir}`"
-                    ))
-                })?;
-                fplan.kill_link_at(at, NodeId::new(node), dir);
-            }
-            "--fault-notify" => {
-                fplan.notify_latency(num(value(&mut it, flag)?, flag)?);
-            }
             other => return Err(err(format!("unknown flag `{other}`; try --help"))),
         }
     }
 
-    if torus_flag {
-        if !matches!(topo.2, TopologyKind::Mesh | TopologyKind::Torus) {
-            return Err(err(
-                "--torus only applies to a plain WxH grid; use --topology torus:WxH instead",
-            ));
-        }
-        topo.2 = TopologyKind::Torus;
-    }
     let topology = match topo.2 {
         TopologyKind::Mesh | TopologyKind::Torus => Topology::try_new(topo.0, topo.1, topo.2),
         TopologyKind::CMesh => Topology::try_cmesh(topo.0, topo.1, concentration),
@@ -490,12 +392,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     }
     if damq_pool.is_some() && !damq {
         return Err(err("--damq-pool requires --buffer-org damq"));
-    }
-    if trace_async && trace.is_none() {
-        return Err(err("--trace-async requires --trace FILE"));
-    }
-    if trace_queue == 0 {
-        return Err(err("--trace-queue must be at least 1"));
     }
     if metrics_every == 0 {
         return Err(err("--metrics-every must be at least 1"));
@@ -545,11 +441,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         config,
         profile,
         trace,
-        trace_async,
-        trace_queue,
-        trace_policy,
         flight_recorder,
-        stats_every,
         report_json,
         metrics_out,
         metrics_every,
@@ -645,11 +537,7 @@ mod tests {
             config,
             profile,
             trace,
-            trace_async,
-            trace_queue,
-            trace_policy,
             flight_recorder,
-            stats_every,
             report_json,
             metrics_out,
             metrics_every,
@@ -662,11 +550,7 @@ mod tests {
         assert_eq!(config.scheme, ErrorScheme::Hbh);
         assert_eq!(config.injection_rate, 0.25);
         assert_eq!(trace, None);
-        assert!(!trace_async);
-        assert_eq!(trace_queue, 4096);
-        assert_eq!(trace_policy, ftnoc_trace::OverflowPolicy::Block);
         assert_eq!(flight_recorder, 256);
-        assert_eq!(stats_every, 0);
         assert!(!report_json);
         assert_eq!(metrics_out, None);
         assert_eq!(metrics_every, 1000);
@@ -676,7 +560,7 @@ mod tests {
     #[test]
     fn full_flag_set_parses() {
         let cmd = parse(&args(
-            "run --topology 4x6 --torus --scheme fec --routing fa --pattern tn \
+            "run --topology torus:4x6 --scheme fec --routing fa --pattern tn \
              --inj 0.1 --error-rate 0.01 --rt-rate 0.001 --no-ac --vcs 2 \
              --buffer 8 --retrans 6 --pipeline 2 --packet-len 8 --packets 100 \
              --warmup 10 --seed 42 --deadlock-recovery --profile",
@@ -744,8 +628,9 @@ mod tests {
         assert!(e.0.contains("chiplet:WxH:CWxCH"), "{e}");
         let e = parse(&args("run --topology chiplet:8x8:3x3")).unwrap_err();
         assert!(e.0.contains("--topology"), "{e}");
-        let e = parse(&args("run --topology cmesh:4x4:2 --torus")).unwrap_err();
-        assert!(e.0.contains("--torus only applies"), "{e}");
+        // The bare WxH form is gone: every grid names its topology.
+        let e = parse(&args("run --topology 8x8")).unwrap_err();
+        assert!(e.0.contains("mesh:WxH"), "{e}");
     }
 
     #[test]
@@ -884,34 +769,6 @@ mod tests {
     }
 
     #[test]
-    fn async_trace_flags_parse() {
-        use ftnoc_trace::OverflowPolicy;
-        let cmd = parse(&args(
-            "run --trace out.jsonl --trace-async --trace-queue 128 --trace-policy drop",
-        ))
-        .unwrap();
-        let Command::Run {
-            trace_async,
-            trace_queue,
-            trace_policy,
-            ..
-        } = cmd
-        else {
-            panic!("expected run");
-        };
-        assert!(trace_async);
-        assert_eq!(trace_queue, 128);
-        assert_eq!(trace_policy, OverflowPolicy::Drop);
-
-        let e = parse(&args("run --trace-async")).unwrap_err();
-        assert!(e.0.contains("--trace FILE"), "{e}");
-        let e = parse(&args("run --trace out.jsonl --trace-policy maybe")).unwrap_err();
-        assert!(e.0.contains("block|drop"), "{e}");
-        let e = parse(&args("run --trace out.jsonl --trace-queue 0")).unwrap_err();
-        assert!(e.0.contains("--trace-queue"), "{e}");
-    }
-
-    #[test]
     fn metrics_flags_parse() {
         let cmd = parse(&args("run --metrics-out m.jsonl --metrics-every 250")).unwrap();
         let Command::Run {
@@ -947,72 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn kill_link_parses_and_validates_connectivity() {
-        use ftnoc_types::geom::Direction;
-        let Command::Run { config, .. } =
-            parse(&args("run --routing ad --kill-link 27:e --kill-link 0:s")).unwrap()
-        else {
-            panic!("expected run");
-        };
-        assert!(config
-            .hard_faults
-            .link_is_dead(NodeId::new(27), Direction::East));
-        // Killing a link marks both endpoints.
-        assert!(config
-            .hard_faults
-            .link_is_dead(NodeId::new(28), Direction::West));
-        assert!(config
-            .hard_faults
-            .link_is_dead(NodeId::new(0), Direction::South));
-
-        let e = parse(&args("run --kill-link banana")).unwrap_err();
-        assert!(e.0.contains("N:D"), "{e}");
-        let e = parse(&args("run --kill-link 3:x")).unwrap_err();
-        assert!(e.0.contains("n|e|s|w"), "{e}");
-        let e = parse(&args("run --kill-link 99:e")).unwrap_err();
-        assert!(e.0.contains("out of range"), "{e}");
-        // Cutting off a corner node entirely disconnects the mesh.
-        let e = parse(&args("run --kill-link 0:e --kill-link 0:s")).unwrap_err();
-        assert!(e.0.contains("disconnected"), "{e}");
-    }
-
-    #[test]
-    fn kill_link_at_parses_and_validates() {
-        use ftnoc_types::geom::Direction;
-        let Command::Run { config, .. } = parse(&args(
-            "run --routing fta --kill-link-at 500:27:e --fault-notify 8",
-        ))
-        .unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(config.routing, RoutingAlgorithm::FaultAware);
-        assert_eq!(config.scheduled_kills.len(), 1);
-        assert_eq!(config.scheduled_kills[0].at, 500);
-        assert_eq!(config.scheduled_kills[0].node, NodeId::new(27));
-        assert_eq!(config.scheduled_kills[0].dir, Direction::East);
-        assert_eq!(config.fault_notify_latency, 8);
-
-        // Mid-run kills never appear in the static base set.
-        assert!(config.hard_faults.is_empty());
-
-        let e = parse(&args("run --kill-link-at banana")).unwrap_err();
-        assert!(e.0.contains("C:N:D"), "{e}");
-        let e = parse(&args("run --kill-link-at 0:27:e")).unwrap_err();
-        assert!(e.0.contains("--kill-link"), "{e}");
-        let e = parse(&args("run --kill-link-at 10:99:e")).unwrap_err();
-        assert!(e.0.contains("out of range"), "{e}");
-        let e = parse(&args("run --kill-link-at 10:0:n")).unwrap_err();
-        assert!(e.0.contains("no link"), "{e}");
-        // A static kill plus a scheduled kill of the same link is a
-        // configuration error.
-        let e = parse(&args("run --kill-link 27:e --kill-link-at 10:27:e")).unwrap_err();
-        assert!(e.0.contains("already dead"), "{e}");
-        // Scheduled kills that eventually isolate a corner are rejected.
-        let e = parse(&args("run --kill-link-at 10:0:e --kill-link-at 20:0:s")).unwrap_err();
-        assert!(e.0.contains("disconnected"), "{e}");
-    }
-
-    #[test]
     fn fault_specs_parse_and_lower() {
         use ftnoc_types::geom::Direction;
         let Command::Run { config, .. } = parse(&args(
@@ -1043,38 +834,63 @@ mod tests {
         assert!(e.0.contains("out of range"), "{e}");
         let e = parse(&args("run --fault router:0@0")).unwrap_err();
         assert!(e.0.contains("at-reset"), "{e}");
+
+        // Link specs: killing a link marks both endpoints, and mid-run
+        // kills never appear in the static base set.
+        let Command::Run { config, .. } = parse(&args(
+            "run --routing fta --fault link:27:e --fault link:0:s --fault link:12:s@500",
+        ))
+        .unwrap() else {
+            panic!("expected run");
+        };
+        assert!(config
+            .hard_faults
+            .link_is_dead(NodeId::new(28), Direction::West));
+        assert!(config
+            .hard_faults
+            .link_is_dead(NodeId::new(0), Direction::South));
+        assert!(!config
+            .hard_faults
+            .link_is_dead(NodeId::new(12), Direction::South));
+        assert_eq!(config.scheduled_kills.len(), 1);
+        assert_eq!(config.scheduled_kills[0].at, 500);
+        assert_eq!(config.scheduled_kills[0].node, NodeId::new(12));
+        assert_eq!(config.scheduled_kills[0].dir, Direction::South);
+
+        // Link-spec errors: out of range (static and scheduled), no
+        // link at a mesh edge, a double kill, a cut that isolates a
+        // corner (static or once every scheduled kill has landed), and
+        // a kill cycle of 0.
+        for (spec, want) in [
+            ("--fault link:99:e", "out of range"),
+            ("--fault link:99:e@10", "out of range"),
+            ("--fault link:0:n@10", "no link"),
+            ("--fault link:27:e --fault link:27:e@10", "already dead"),
+            ("--fault link:0:e --fault link:0:s", "disconnected"),
+            ("--fault link:0:e@10 --fault link:0:s@20", "disconnected"),
+        ] {
+            let e = parse(&args(&format!("run --routing fta {spec}"))).unwrap_err();
+            assert!(e.0.contains(want), "{spec}: {e}");
+        }
+        let e = parse(&args("run --routing fta --fault link:27:e@0")).unwrap_err();
+        assert!(e.0.contains("at-reset"), "{e}");
     }
 
-    /// The compat contract: the legacy kill flags lower to exactly the
-    /// configuration the unified `--fault` grammar produces.
     #[test]
-    fn legacy_kill_flags_lower_to_the_equivalent_fault_plan() {
-        use ftnoc_types::geom::Direction;
-        let legacy = parse(&args(
-            "run --routing fta --kill-link 27:e --kill-link-at 500:12:s --fault-notify 8",
-        ))
-        .unwrap();
-        let unified = parse(&args(
-            "run --routing fta --fault link:27:e --fault link:12:s@500 --fault notify:8",
-        ))
-        .unwrap();
-        let (Command::Run { config: a, .. }, Command::Run { config: b, .. }) = (legacy, unified)
-        else {
-            panic!("expected run commands");
-        };
-        for n in 0..a.topology.node_count() as u16 {
-            for dir in Direction::CARDINAL {
-                assert_eq!(
-                    a.hard_faults.link_is_dead(NodeId::new(n), dir),
-                    b.hard_faults.link_is_dead(NodeId::new(n), dir),
-                    "base fault sets diverge at {n}:{dir:?}"
-                );
-            }
+    fn removed_flags_are_rejected() {
+        for flag in [
+            "--trace-async",
+            "--trace-queue 8",
+            "--trace-policy drop",
+            "--stats-every 100",
+            "--kill-link 27:e",
+            "--kill-link-at 5:27:e",
+            "--fault-notify 4",
+            "--torus",
+        ] {
+            let e = parse(&args(&format!("run {flag}"))).unwrap_err();
+            assert!(e.0.contains("unknown flag"), "{flag}: {e}");
         }
-        assert_eq!(a.scheduled_kills, b.scheduled_kills);
-        assert_eq!(a.router_kills, b.router_kills);
-        assert_eq!(a.wearout, b.wearout);
-        assert_eq!(a.fault_notify_latency, b.fault_notify_latency);
     }
 
     #[test]
@@ -1127,13 +943,12 @@ mod tests {
     #[test]
     fn observability_flags_parse() {
         let cmd = parse(&args(
-            "run --trace out.jsonl --flight-recorder 64 --stats-every 1000 --report-json",
+            "run --trace out.jsonl --flight-recorder 64 --report-json",
         ))
         .unwrap();
         let Command::Run {
             trace,
             flight_recorder,
-            stats_every,
             report_json,
             ..
         } = cmd
@@ -1142,7 +957,6 @@ mod tests {
         };
         assert_eq!(trace.as_deref(), Some(std::path::Path::new("out.jsonl")));
         assert_eq!(flight_recorder, 64);
-        assert_eq!(stats_every, 1000);
         assert!(report_json);
     }
 }

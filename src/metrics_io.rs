@@ -1,14 +1,12 @@
-//! The `--metrics-out` file emitter: periodic JSONL interval lines off
-//! the simulation hot path.
+//! The `--metrics-out` file emitter: periodic JSONL interval lines.
 //!
-//! [`MetricsEmitter`] owns a bounded [`AsyncQueue`] in front of a
-//! buffered file on a writer thread (the same machinery the async
-//! trace sink uses), so serializing and writing a metrics line never
-//! stalls the cycle loop. Lines are built from read-only snapshots
-//! ([`ftnoc_sim::Progress`], [`MeshTelemetry`], [`ProfileSnapshot`])
-//! taken at commit boundaries — emission cannot perturb the run, and a
-//! metrics-enabled run produces byte-identical traces and reports to a
-//! metrics-free one.
+//! [`MetricsEmitter`] writes each line synchronously through a
+//! buffered file — one line per `--metrics-every` cycles, so the write
+//! is a rounding error next to the cycles between lines. Lines are
+//! built from read-only snapshots ([`ftnoc_sim::Progress`],
+//! [`MeshTelemetry`], [`ProfileSnapshot`]) taken at commit boundaries —
+//! emission cannot perturb the run, and a metrics-enabled run produces
+//! byte-identical traces and reports to a metrics-free one.
 //!
 //! File format: one [`MetaLine`] describing the run, then one
 //! [`IntervalLine`] per emission with cumulative totals and per-window
@@ -16,31 +14,14 @@
 
 use ftnoc_metrics::{IntervalLine, LayoutKind, MeshTelemetry, MetaLine, ProfileSnapshot};
 use ftnoc_sim::{Progress, SimConfig};
-use ftnoc_trace::{AsyncQueue, OverflowPolicy, QueueConsumer};
 use ftnoc_types::geom::TopologyKind;
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
-
-/// Writes each queued line (newline-terminated) through a buffered
-/// file on the queue's writer thread.
-struct LineFileWriter(BufWriter<File>);
-
-impl QueueConsumer<String> for LineFileWriter {
-    fn consume(&mut self, line: &String) {
-        // A mid-run I/O failure surfaces as a writer-thread panic at
-        // the next queue join — the run itself is never perturbed.
-        writeln!(self.0, "{line}").expect("write metrics line");
-    }
-
-    fn flush(&mut self) {
-        self.0.flush().expect("flush metrics file");
-    }
-}
 
 /// Periodic metrics emission for one run. See the module docs.
 pub struct MetricsEmitter {
-    queue: AsyncQueue<String, LineFileWriter>,
+    out: BufWriter<File>,
     every: u64,
     /// Cumulative (injected, ejected, latency_sum) at the previous
     /// emission — the baseline for per-window deltas.
@@ -51,19 +32,15 @@ pub struct MetricsEmitter {
 }
 
 impl MetricsEmitter {
-    /// Opens `path`, spawns the writer thread and queues the meta
-    /// line. `every` is the emission interval in cycles (≥ 1).
+    /// Opens `path` and writes the meta line. `every` is the emission
+    /// interval in cycles (≥ 1).
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error when the file cannot be
-    /// created.
-    pub fn create(path: &Path, every: u64, config: &SimConfig) -> std::io::Result<Self> {
-        let file = File::create(path)?;
-        let writer = LineFileWriter(BufWriter::new(file));
-        // Interval lines are rare (one per `every` cycles) and the
-        // policy is lossless: a metrics file is never silently partial.
-        let mut queue = AsyncQueue::new(writer, 64, OverflowPolicy::Block);
+    /// created or written.
+    pub fn create(path: &Path, every: u64, config: &SimConfig) -> io::Result<Self> {
+        let mut out = BufWriter::new(File::create(path)?);
         let topology = match config.topology.kind() {
             TopologyKind::Mesh => LayoutKind::Mesh,
             TopologyKind::Torus => LayoutKind::Torus,
@@ -90,9 +67,9 @@ impl MetricsEmitter {
             metrics_every: every.max(1),
             seed: config.seed,
         };
-        queue.push(meta.to_json());
+        writeln!(out, "{}", meta.to_json())?;
         Ok(MetricsEmitter {
-            queue,
+            out,
             every: every.max(1),
             prev: (0, 0, 0),
             last_cycle: None,
@@ -104,17 +81,22 @@ impl MetricsEmitter {
         cycle.is_multiple_of(self.every)
     }
 
-    /// Queues one interval line from commit-boundary snapshots. A
+    /// Writes one interval line from commit-boundary snapshots. A
     /// repeat call for an already-emitted cycle is a no-op (the final
     /// flush at run end reuses this).
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error when the line cannot be
+    /// written.
     pub fn record(
         &mut self,
         progress: Progress,
         routers: MeshTelemetry,
         phase: Option<ProfileSnapshot>,
-    ) {
+    ) -> io::Result<()> {
         if self.last_cycle == Some(progress.now) {
-            return;
+            return Ok(());
         }
         self.last_cycle = Some(progress.now);
         let (p_inj, p_ej, p_lat) = self.prev;
@@ -134,15 +116,17 @@ impl MetricsEmitter {
             progress.packets_ejected,
             progress.latency_sum,
         );
-        self.queue.push(line.to_json());
+        writeln!(self.out, "{}", line.to_json())
     }
 
-    /// Drains and closes the file, returning the number of dropped
-    /// lines (always 0 under the lossless policy; the count exists so
-    /// a policy change can never lose data silently).
-    pub fn finish(self) -> u64 {
-        let (_, dropped) = self.queue.finish();
-        dropped
+    /// Flushes and closes the file.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error when buffered lines cannot be
+    /// written out.
+    pub fn finish(mut self) -> io::Result<()> {
+        self.out.flush()
     }
 }
 
@@ -165,7 +149,6 @@ mod tests {
             packets_injected: injected,
             packets_ejected: ejected,
             latency_sum,
-            any_in_recovery: false,
         }
     }
 
@@ -183,11 +166,13 @@ mod tests {
         let path = dir.join("ftnoc-metrics-io-test.jsonl");
         let mut em = MetricsEmitter::create(&path, 100, &config()).unwrap();
         assert!(em.due(100) && em.due(200) && !em.due(150));
-        em.record(progress(100, 40, 30, 600), mesh(), None);
-        em.record(progress(200, 90, 70, 1400), mesh(), None);
+        em.record(progress(100, 40, 30, 600), mesh(), None).unwrap();
+        em.record(progress(200, 90, 70, 1400), mesh(), None)
+            .unwrap();
         // The final flush at an already-emitted cycle is a no-op.
-        em.record(progress(200, 90, 70, 1400), mesh(), None);
-        assert_eq!(em.finish(), 0);
+        em.record(progress(200, 90, 70, 1400), mesh(), None)
+            .unwrap();
+        em.finish().unwrap();
 
         let content = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
@@ -202,5 +187,16 @@ mod tests {
         assert_eq!(delta.u64_field("injected"), Some(50));
         assert_eq!(delta.u64_field("ejected"), Some(40));
         assert_eq!(delta.get("avg_latency").unwrap().as_f64(), Some(20.0));
+    }
+
+    /// A full device accepts the open but fails the writes: the error
+    /// comes back from the emitter instead of being lost or panicking.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn write_errors_surface_from_finish() {
+        // The meta line fits the write buffer, so the failure lands on
+        // the flush in `finish`.
+        let em = MetricsEmitter::create(Path::new("/dev/full"), 100, &config()).unwrap();
+        assert!(em.finish().is_err());
     }
 }

@@ -99,12 +99,16 @@ fn emit_metrics_file(path: &std::path::Path, every: u64) -> String {
     sim.network_mut().enable_profiling();
     sim.run_instrumented(|st| {
         if emitter.due(st.now()) {
-            emitter.record(st.progress(), st.telemetry(), st.profile_snapshot());
+            emitter
+                .record(st.progress(), st.telemetry(), st.profile_snapshot())
+                .unwrap();
         }
     });
     let net = sim.network();
-    emitter.record(net.progress(), net.telemetry(), net.profile_snapshot());
-    assert_eq!(emitter.finish(), 0, "lossless policy must drop nothing");
+    emitter
+        .record(net.progress(), net.telemetry(), net.profile_snapshot())
+        .unwrap();
+    emitter.finish().unwrap();
     let content = std::fs::read_to_string(path).unwrap();
     std::fs::remove_file(path).ok();
     content
